@@ -18,14 +18,19 @@
 //	cdbench -exp all        everything above
 //
 // By default the full paper scale is used (5,099 files, 511 directories,
-// 492 samples); -quick runs a reduced configuration.
+// 492 samples); -quick runs a reduced configuration. With -check,
+// -exp table1 also diffs the rendered Table I against the recorded
+// full-scale run in paper_run.txt (read from the working directory) and
+// exits non-zero on drift.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"cryptodrop"
 	"cryptodrop/internal/benign"
@@ -53,6 +58,7 @@ type config struct {
 	quick   bool
 	workers int
 	jsonOut string
+	check   bool
 	// Measurement-optimisation knobs (DESIGN.md "Measurement tiers and
 	// memoization"); applied to the roster-driven experiments (table1,
 	// fig3, fig4, fig5, fig6, union, paper).
@@ -106,6 +112,7 @@ func run(args []string) error {
 	fs.BoolVar(&cfg.quick, "quick", false, "reduced scale (800 files, 80 dirs, 1 sample per family/class)")
 	fs.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "parallel sample workers")
 	fs.StringVar(&cfg.jsonOut, "json", "", "also export roster outcomes as JSON to this file")
+	fs.BoolVar(&cfg.check, "check", false, "with -exp table1: diff Table I against paper_run.txt and fail on drift")
 	fs.IntVar(&cfg.cacheMB, "measure-cache-mb", 0, "measurement memo cache shared across the run's monitors, in MiB (0 = off)")
 	fs.StringVar(&cfg.tier, "tier", "full", "measurement tier: full, or sampled for the two-tier ladder")
 	fs.IntVar(&cfg.sampleKB, "sample-kb", 0, "sampled-tier header sample size in KiB (0 = default 8)")
@@ -122,6 +129,9 @@ func run(args []string) error {
 	}
 	if cfg.serveAddr != "" {
 		return runServe(cfg.serveAddr)
+	}
+	if cfg.check && cfg.exp != "table1" {
+		return fmt.Errorf("-check applies to -exp table1 only")
 	}
 	if cfg.quick {
 		cfg.files, cfg.dirs, cfg.scale = 800, 80, 0.3
@@ -273,12 +283,63 @@ func expRecovery(cfg config, spec corpus.Spec, roster []ransomware.Sample) error
 	return tbl.Render(os.Stdout)
 }
 
+// paperRunPath is the recorded full-scale run -check compares against,
+// relative to the working directory.
+const paperRunPath = "paper_run.txt"
+
 func expTable1(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
 	outcomes, err := runRoster(cfg, spec, roster)
 	if err != nil {
 		return err
 	}
-	return experiments.BuildTable1(outcomes).Render(os.Stdout)
+	var buf bytes.Buffer
+	if err := experiments.BuildTable1(outcomes).Render(&buf); err != nil {
+		return err
+	}
+	if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
+		return err
+	}
+	if !cfg.check {
+		return nil
+	}
+	ref, err := os.ReadFile(paperRunPath)
+	if err != nil {
+		return fmt.Errorf("check: %w", err)
+	}
+	return checkTable1(buf.String(), string(ref))
+}
+
+// checkTable1 compares a rendered Table I with the "Table I" section of a
+// recorded cdbench run, naming every row that differs.
+func checkTable1(got, recorded string) error {
+	const header = "════════ Table I ════════\n"
+	i := strings.Index(recorded, header)
+	if i < 0 {
+		return fmt.Errorf("check: no Table I section in %s", paperRunPath)
+	}
+	want := recorded[i+len(header):]
+	if j := strings.Index(want, "\n\n"); j >= 0 {
+		want = want[:j+1]
+	}
+	if got == want {
+		return nil
+	}
+	gl := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	wl := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+	var diff strings.Builder
+	for k := 0; k < len(gl) || k < len(wl); k++ {
+		var g, w string
+		if k < len(gl) {
+			g = gl[k]
+		}
+		if k < len(wl) {
+			w = wl[k]
+		}
+		if g != w {
+			fmt.Fprintf(&diff, "\n  got:  %s\n  want: %s", g, w)
+		}
+	}
+	return fmt.Errorf("check: Table I drifted from %s:%s", paperRunPath, diff.String())
 }
 
 func expFig3(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,5 +64,51 @@ func TestBuildRosterQuickDedupes(t *testing.T) {
 	cfg = config{seed: 1}
 	if got := len(buildRoster(cfg)); got != 492 {
 		t.Fatalf("full roster = %d", got)
+	}
+}
+
+// TestCheckTable1 pins the -check comparison: the Table I section of a
+// recorded run matches itself and names each drifted row.
+func TestCheckTable1(t *testing.T) {
+	table := "Family  Median FL\nTeslaCrypt  8.0\nXorist  7.0\n"
+	recorded := "\n════════ Table I ════════\n" + table + "\n════════ Figure 3 ════════\nfig\n"
+	if err := checkTable1(table, recorded); err != nil {
+		t.Fatalf("identical table: %v", err)
+	}
+	drifted := strings.Replace(table, "Xorist  7.0", "Xorist  9.0", 1)
+	err := checkTable1(drifted, recorded)
+	if err == nil || !strings.Contains(err.Error(), "got:  Xorist  9.0") || strings.Contains(err.Error(), "TeslaCrypt") {
+		t.Fatalf("drifted table: err = %v", err)
+	}
+	if err := checkTable1(table, "no table here"); err == nil {
+		t.Fatal("missing section accepted")
+	}
+}
+
+// TestCLITable1Check drives -check end to end: a reduced run cannot match
+// the recorded full-scale Table I, so it must fail loudly; -check on any
+// other experiment is refused.
+func TestCLITable1Check(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// -check reads paper_run.txt from the working directory: run from the
+	// repository root.
+	if err := os.Chdir(filepath.Join("..", "..")); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	err = run([]string{"-exp", "table1", "-files", "250", "-dirs", "30", "-scale", "0.25",
+		"-samples", "6", "-workers", "2", "-check"})
+	if err == nil || !strings.Contains(err.Error(), "Table I drifted") {
+		t.Fatalf("reduced run passed -check: %v", err)
+	}
+	if err := run([]string{"-exp", "fig3", "-check"}); err == nil {
+		t.Fatal("-check accepted for fig3")
 	}
 }

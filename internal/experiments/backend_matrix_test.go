@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -21,27 +20,6 @@ type matrixResult struct {
 	dets   []cryptodrop.Detection
 	trace  telemetry.Trace
 	lost   int
-}
-
-// matrixLost counts manifest entries whose content survives nowhere on disk.
-func matrixLost(fs *vfs.FS, m *corpus.Manifest) int {
-	surviving := make(map[[32]byte]bool, len(m.Entries))
-	_ = fs.Walk("/", func(info vfs.FileInfo) error {
-		if info.IsDir {
-			return nil
-		}
-		if content, err := fs.ReadFileRaw(info.Path); err == nil {
-			surviving[sha256.Sum256(content)] = true
-		}
-		return nil
-	})
-	lost := 0
-	for _, e := range m.Entries {
-		if !surviving[e.SHA256] {
-			lost++
-		}
-	}
-	return lost
 }
 
 // TestBackendMatrixConformance pins storage-layer neutrality end to end: the
@@ -99,7 +77,7 @@ func TestBackendMatrixConformance(t *testing.T) {
 			report: rep,
 			dets:   mon.Detections(),
 			trace:  fr.Trace(pid),
-			lost:   matrixLost(fs, m),
+			lost:   fullHashLost(fs, m),
 		}
 	}
 	for class, sample := range classes {

@@ -75,7 +75,8 @@ func RunMultiProcessExperiment(spec corpus.Spec, rosterSeed int64, workerCounts 
 		if _, err := sample.RunAsFamily(fs, pids, base.Manifest().Root, procs.Suspended); err != nil {
 			return 0, false, err
 		}
-		return base.countFilesLost(fs), len(mon.Detections()) > 0, nil
+		lost, err = base.countFilesLost(fs)
+		return lost, len(mon.Detections()) > 0, err
 	}
 
 	for _, workers := range workerCounts {

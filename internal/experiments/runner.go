@@ -28,6 +28,9 @@ import (
 type Runner struct {
 	base     *vfs.FS
 	manifest *corpus.Manifest
+	// baseHash maps each base file ID to its manifest SHA-256, so the
+	// files-lost check hashes only what a sample changed.
+	baseHash map[uint64][32]byte
 	opts     []cryptodrop.Option
 	// recorder, when set, is attached to the filter chain of every run
 	// (forensic trace capture). Not safe to combine with parallel runs.
@@ -83,7 +86,22 @@ func NewRunner(spec corpus.Spec, opts ...cryptodrop.Option) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build corpus: %w", err)
 	}
-	return &Runner{base: fs, manifest: m, opts: opts}, nil
+	return newRunnerOn(fs, m, opts...)
+}
+
+// newRunnerOn builds a runner over a populated base filesystem and its
+// manifest, mapping each manifest file's ID to its recorded hash (Stat
+// only; nothing is hashed here).
+func newRunnerOn(base *vfs.FS, m *corpus.Manifest, opts ...cryptodrop.Option) (*Runner, error) {
+	baseHash := make(map[uint64][32]byte, len(m.Entries))
+	for _, e := range m.Entries {
+		info, err := base.Stat(e.Path)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: stat corpus file: %w", err)
+		}
+		baseHash[info.FileID] = e.SHA256
+	}
+	return &Runner{base: base, manifest: m, baseHash: baseHash, opts: opts}, nil
 }
 
 // Manifest returns the corpus manifest.
@@ -101,7 +119,14 @@ type SampleOutcome struct {
 	Detected bool
 	// FilesLost counts corpus files whose original content no longer
 	// exists anywhere on disk — the paper's SHA-256 verification (§V-A).
+	// Only files the sample changed are hashed: a file still sharing the
+	// pristine corpus's copy-on-write storage keeps its manifest hash, and
+	// any file whose storage cannot be decided is hashed (see
+	// countFilesLost).
 	FilesLost int
+	// DetectionOp is the engine's protected-operation index when the sample
+	// was detected (Detection.OpIndex), or 0 if it never was.
+	DetectionOp int64
 	// Union reports whether union indication fired for the sample.
 	Union bool
 	// Score is the reputation score at the end of the run.
@@ -122,6 +147,13 @@ type SampleOutcome struct {
 // RunSample executes one sample on a fresh clone of the corpus under a
 // fresh monitor.
 func (r *Runner) RunSample(s ransomware.Sample) (SampleOutcome, error) {
+	out, _, err := r.runSample(s)
+	return out, err
+}
+
+// runSample is RunSample, also returning the run's filesystem as the sample
+// left it (after any rollback).
+func (r *Runner) runSample(s ransomware.Sample) (SampleOutcome, *vfs.FS, error) {
 	fs := r.base.Clone()
 	procs := proc.NewTable()
 	runOpts := []cryptodrop.Option{cryptodrop.WithRoot(r.manifest.Root)}
@@ -141,21 +173,25 @@ func (r *Runner) RunSample(s ransomware.Sample) (SampleOutcome, error) {
 	}
 	mon, err := cryptodrop.NewMonitor(fs, procs, append(runOpts, r.opts...)...)
 	if err != nil {
-		return SampleOutcome{}, fmt.Errorf("experiments: monitor: %w", err)
+		return SampleOutcome{}, nil, fmt.Errorf("experiments: monitor: %w", err)
 	}
 	if r.recorder != nil {
 		if err := mon.Chain().Attach(500000, r.recorder); err != nil {
-			return SampleOutcome{}, fmt.Errorf("experiments: attach recorder: %w", err)
+			return SampleOutcome{}, nil, fmt.Errorf("experiments: attach recorder: %w", err)
 		}
 	}
 	pid := procs.Spawn(s.ID)
 	res, err := s.Run(fs, pid, r.manifest.Root, func() bool { return procs.Suspended(pid) })
 	if err != nil {
-		return SampleOutcome{}, fmt.Errorf("experiments: run %s: %w", s.ID, err)
+		return SampleOutcome{}, nil, fmt.Errorf("experiments: run %s: %w", s.ID, err)
+	}
+	lost, err := r.countFilesLost(fs)
+	if err != nil {
+		return SampleOutcome{}, nil, fmt.Errorf("experiments: run %s: %w", s.ID, err)
 	}
 	out := SampleOutcome{
 		Sample:    s,
-		FilesLost: r.countFilesLost(fs),
+		FilesLost: lost,
 		Run:       res,
 	}
 	if r.recovery {
@@ -167,35 +203,47 @@ func (r *Runner) RunSample(s ransomware.Sample) (SampleOutcome, error) {
 		out.Union = rep.Union
 		out.Score = rep.Score
 	}
+	for _, d := range mon.Detections() {
+		if d.PID == pid {
+			out.DetectionOp = d.OpIndex
+			break
+		}
+	}
 	if r.perRunTelemetry {
 		out.Telemetry = summarizeTelemetry(reg.Snapshot(), fr, pid)
 	}
-	return out, nil
+	return out, fs, nil
 }
 
 // countFilesLost verifies the manifest hashes: an original file survives if
 // content with its hash still exists anywhere on disk (so an unencrypted
-// file merely parked elsewhere by a suspended Class B sample is not lost).
-func (r *Runner) countFilesLost(fs *vfs.FS) int {
-	surviving := make(map[[32]byte]bool, len(r.manifest.Entries))
-	_ = fs.Walk("/", func(info vfs.FileInfo) error {
-		if info.IsDir {
-			return nil
+// file merely parked elsewhere by a suspended Class B sample, or a
+// duplicate of a destroyed file's content, is not lost). A file that still
+// shares the pristine corpus's copy-on-write storage for its ID
+// (vfs.FS.VisitRaw, decided by storage identity, never by content) holds
+// its manifest content, so its known hash is used unhashed. Every other
+// file — written, truncated, restored, created, or on storage whose
+// sharing cannot be decided — is hashed from its aliased bytes, so the
+// shortcut is conservative and the count is exactly the full re-hash's.
+func (r *Runner) countFilesLost(fs *vfs.FS) (int, error) {
+	surviving := make(map[[32]byte]bool, len(r.baseHash))
+	err := fs.VisitRaw(r.base, func(f vfs.RawFile) {
+		if h, ok := r.baseHash[f.ID]; ok && f.Shared {
+			surviving[h] = true
+			return
 		}
-		content, err := fs.ReadFileRaw(info.Path)
-		if err != nil {
-			return nil
-		}
-		surviving[sha256.Sum256(content)] = true
-		return nil
+		surviving[sha256.Sum256(f.Content)] = true
 	})
+	if err != nil {
+		return 0, fmt.Errorf("experiments: files lost: %w", err)
+	}
 	lost := 0
 	for _, e := range r.manifest.Entries {
 		if !surviving[e.SHA256] {
 			lost++
 		}
 	}
-	return lost
+	return lost, nil
 }
 
 // BenignOutcome is the result of one benign workload run.

@@ -55,6 +55,14 @@ type Cloner interface {
 	CloneBackend() Backend
 }
 
+// Wrapper is the optional capability of a backend layered over another that
+// stores every file's content unchanged in the inner backend, keyed by the
+// same file ID — as the versioned extension does. VisitRaw looks through it
+// to decide copy-on-write sharing on the storage underneath.
+type Wrapper interface {
+	Inner() Backend
+}
+
 // PreImager is the optional backend capability the router invokes before a
 // destructive mutation — a truncating open, a write, a delete, a
 // rename-replace — with the acting process and the file's full router path.

@@ -111,14 +111,27 @@ func (m *Memory) Stat(id uint64) (int64, error) {
 }
 
 // CloneBackend implements Cloner: both sides share content slices until
-// either writes.
+// either writes. The clone's file records come from one slab allocation.
 func (m *Memory) CloneBackend() Backend {
 	nm := &Memory{files: make(map[uint64]*memFile, len(m.files))}
+	slab := make([]memFile, len(m.files))
+	i := 0
 	for id, f := range m.files {
 		f.shared = true
-		nm.files[id] = &memFile{data: f.data, shared: true}
+		slab[i] = memFile{data: f.data, shared: true}
+		nm.files[id] = &slab[i]
+		i++
 	}
 	return nm
+}
+
+// sameStorage reports whether a and b are the very same stored content:
+// the same length over the same backing array. Memory never mutates a
+// shared array in place (write copies first), so same storage implies the
+// same bytes without comparing them; two empty contents are trivially the
+// same.
+func sameStorage(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func max64(a, b int64) int64 {

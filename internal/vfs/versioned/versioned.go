@@ -257,9 +257,11 @@ var (
 	_ vfs.Backend   = (*Backend)(nil)
 	_ vfs.PreImager = (*Backend)(nil)
 	_ vfs.Cloner    = (*Backend)(nil)
+	_ vfs.Wrapper   = (*Backend)(nil)
 )
 
-// Inner returns the wrapped backend — the unwrap seam for monitor shutdown.
+// Inner implements vfs.Wrapper: it returns the wrapped backend — the unwrap
+// seam for monitor shutdown, and the storage vfs.FS.VisitRaw inspects.
 func (b *Backend) Inner() vfs.Backend { return b.inner }
 
 // Store returns the retention store this backend captures into.

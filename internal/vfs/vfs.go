@@ -41,6 +41,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cryptodrop/internal/telemetry"
 )
@@ -172,13 +173,18 @@ type dir struct {
 
 func (*dir) isNode() {}
 
-func newDir() *dir { return &dir{children: make(map[string]node)} }
+func newDir() *dir { return newDirSized(0) }
+
+func newDirSized(n int) *dir { return &dir{children: make(map[string]node, n)} }
 
 // FS is the mount router: a filesystem namespace over one or more content
 // backends. The zero value is not usable; create one with New (in-memory
 // backend at "/") or NewWith. All methods are safe for concurrent use.
 type FS struct {
-	mu          sync.Mutex
+	mu sync.Mutex
+	// seq numbers filesystems in creation order: the lock order when an
+	// operation holds two filesystems' locks (VisitRaw).
+	seq         uint64
 	root        *dir
 	nextID      uint64
 	mounts      []*mount
@@ -194,6 +200,9 @@ type FS struct {
 	telOn    bool
 }
 
+// fsSeq hands out FS.seq.
+var fsSeq atomic.Uint64
+
 // New returns an empty filesystem backed by a single in-memory backend
 // mounted at "/".
 func New() *FS { return NewWith(NewMemory()) }
@@ -202,6 +211,7 @@ func New() *FS { return NewWith(NewMemory()) }
 // backends attach with Mount.
 func NewWith(b Backend) *FS {
 	return &FS{
+		seq:      fsSeq.Add(1),
 		root:     newDir(),
 		nextID:   1,
 		mounts:   []*mount{newMount("/", b)},
@@ -889,6 +899,97 @@ func (fs *FS) ReadFileRawRangeByID(id uint64, off, n int64) ([]byte, int64, erro
 	return out, size, nil
 }
 
+// RawFile is one file as VisitRaw presents it.
+type RawFile struct {
+	// ID is the stable file identity.
+	ID uint64
+	// Content is the file's raw content, read without the interceptor. It
+	// aliases backend storage: it is valid only during the callback and
+	// must not be modified or retained.
+	Content []byte
+	// Shared reports that the file still shares the source filesystem's
+	// storage for the same file ID, so Content is the source's content byte
+	// for byte. It is decided by storage identity alone, never by comparing
+	// content: the in-memory backend's copy-on-write record must hold the
+	// same backing array at the same length, looking through Wrapper
+	// backends. Storage it cannot decide — a Local mount, a mount Clone
+	// materialised, any other backend — reports false: false means "may
+	// have changed", true is always exact.
+	Shared bool
+}
+
+// VisitRaw calls fn for every file of fs, in no particular order, with its
+// raw content and whether it still shares src's storage for the same file
+// ID. src is normally the filesystem fs was cloned from, directly; a file
+// src does not hold is never shared. It is the cheap way to find what
+// changed since a clone: unshared files are the only ones whose content can
+// differ from src's. The visit holds both filesystems' locks, so fn must
+// not call into either. A backend read error stops the visit and is
+// returned.
+func (fs *FS) VisitRaw(src *FS, fn func(RawFile)) error {
+	unlock := lockPair(fs, src)
+	defer unlock()
+	for id, e := range fs.ids {
+		var content []byte
+		if e.mf != nil {
+			content = e.mf.data
+		} else {
+			data, _, err := e.m.b.Read(id, 0, -1)
+			if err != nil {
+				return fmt.Errorf("vfs: visit file id %d: %w", id, err)
+			}
+			content = data
+		}
+		shared := false
+		if se, ok := src.ids[id]; ok {
+			if f, sf := memFileOf(e), memFileOf(se); f != nil && sf != nil {
+				shared = sameStorage(f.data, sf.data)
+			}
+		}
+		fn(RawFile{ID: id, Content: content, Shared: shared})
+	}
+	return nil
+}
+
+// memFileOf returns the in-memory record storing e's content, looking
+// through Wrapper backends, or nil when the content lives in any other
+// backend; the caller holds the router lock.
+func memFileOf(e *entry) *memFile {
+	if e.mf != nil {
+		return e.mf
+	}
+	b := e.m.b
+	for {
+		switch t := b.(type) {
+		case *Memory:
+			return t.files[e.id]
+		case Wrapper:
+			b = t.Inner()
+		default:
+			return nil
+		}
+	}
+}
+
+// lockPair locks a and b (once when they are the same filesystem) in
+// creation order, so two concurrent pair operations cannot deadlock, and
+// returns the matching unlock.
+func lockPair(a, b *FS) func() {
+	if a == b {
+		a.mu.Lock()
+		return a.mu.Unlock
+	}
+	if a.seq > b.seq {
+		a, b = b, a
+	}
+	a.mu.Lock()
+	b.mu.Lock()
+	return func() {
+		b.mu.Unlock()
+		a.mu.Unlock()
+	}
+}
+
 // RestoreFileRawByID overwrites the file's content without passing through
 // the interceptor — the recovery coordinator's privileged rollback write.
 // The read-only attribute is ignored, as a kernel-side restore would.
@@ -957,46 +1058,62 @@ func (fs *FS) restoreEntry(e *entry, content []byte) error {
 // can snapshot themselves (Cloner — the in-memory backend) share content
 // until either side writes, so cloning is cheap even for large trees;
 // other backends (Local) are materialised into fresh in-memory backends,
-// so a clone is always self-contained and side-effect-free.
+// so a clone is always self-contained and side-effect-free. The clone's
+// file entries come from one slab allocation and its directory maps are
+// sized up front.
 func (fs *FS) Clone() *FS {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	nfs := &FS{
-		root:     newDir(),
+		seq:      fsSeq.Add(1),
 		nextID:   fs.nextID,
 		ids:      make(map[uint64]*entry, len(fs.ids)),
 		opCounts: make(map[OpKind]int64),
 	}
-	mm := make(map[*mount]*mount, len(fs.mounts))
-	materialise := make(map[*mount]bool)
+	c := cloner{
+		mounts:      make(map[*mount]*mount, len(fs.mounts)),
+		materialise: make(map[*mount]bool),
+		nfs:         nfs,
+		// The namespace holds exactly the files in ids, so the slab never
+		// grows.
+		slab: make([]entry, 0, len(fs.ids)),
+	}
 	for _, m := range fs.mounts {
 		var nb Backend
-		if c, ok := m.b.(Cloner); ok {
-			nb = c.CloneBackend()
+		if cb, ok := m.b.(Cloner); ok {
+			nb = cb.CloneBackend()
 		}
 		if nb == nil {
 			nb = NewMemory()
-			materialise[m] = true
+			c.materialise[m] = true
 		}
 		nm := newMount(m.prefix, nb)
-		mm[m] = nm
+		c.mounts[m] = nm
 		nfs.mounts = append(nfs.mounts, nm)
 	}
-	nfs.root = cloneDirInto(fs.root, mm, materialise, nfs)
+	nfs.root = c.dir(fs.root)
 	return nfs
 }
 
-// cloneDirInto deep-copies the namespace, remapping entries onto the
+// cloner deep-copies a namespace into nfs, remapping entries onto the
 // clone's mounts and copying content into materialised backends.
-func cloneDirInto(d *dir, mm map[*mount]*mount, materialise map[*mount]bool, nfs *FS) *dir {
-	nd := newDir()
+type cloner struct {
+	mounts      map[*mount]*mount
+	materialise map[*mount]bool
+	nfs         *FS
+	slab        []entry
+}
+
+func (c *cloner) dir(d *dir) *dir {
+	nd := newDirSized(len(d.children))
 	for name, n := range d.children {
 		switch t := n.(type) {
 		case *dir:
-			nd.children[name] = cloneDirInto(t, mm, materialise, nfs)
+			nd.children[name] = c.dir(t)
 		case *entry:
-			ne := &entry{id: t.id, size: t.size, readOnly: t.readOnly, m: mm[t.m]}
-			if materialise[t.m] {
+			c.slab = append(c.slab, entry{id: t.id, size: t.size, readOnly: t.readOnly, m: c.mounts[t.m]})
+			ne := &c.slab[len(c.slab)-1]
+			if c.materialise[t.m] {
 				data, _, err := t.m.b.Read(t.id, 0, -1)
 				if err == nil {
 					if err := ne.m.b.Open(ne.id, "", true, false); err == nil && len(data) > 0 {
@@ -1010,7 +1127,7 @@ func cloneDirInto(d *dir, mm map[*mount]*mount, materialise map[*mount]bool, nfs
 				ne.mf = ne.m.mem.files[ne.id]
 			}
 			nd.children[name] = ne
-			nfs.ids[ne.id] = ne
+			c.nfs.ids[ne.id] = ne
 		}
 	}
 	return nd
